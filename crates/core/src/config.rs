@@ -60,13 +60,6 @@ pub struct DsConfig {
     pub max_insts: Option<u64>,
     /// Abort if no node commits for this many cycles (deadlock guard).
     pub watchdog_cycles: u64,
-    /// Fault injection: silently drop every `n`-th broadcast at
-    /// delivery. The protocol guarantees this deadlocks a waiting node
-    /// (absent BSHR timeouts), so the expected outcome is a watchdog
-    /// `DeadlockReport` — used to prove the tripwire works. `None` (the
-    /// default) injects nothing. Predates (and is retained alongside)
-    /// the richer [`DsConfig::fault_plan`].
-    pub fault_drop_every: Option<u64>,
     /// ds-chaos fault schedule: drop/delay/duplicate/reorder rules
     /// applied at the fabric's delivery boundary plus per-node tick
     /// stalls. Empty (the default) compiles down to no injector at all,
@@ -121,7 +114,6 @@ impl Default for DsConfig {
             tlb_walk_cycles: 9,
             max_insts: None,
             watchdog_cycles: 2_000_000,
-            fault_drop_every: None,
             fault_plan: ds_net::FaultPlan::default(),
             bshr_timeout_cycles: None,
             bshr_retry_budget: 3,

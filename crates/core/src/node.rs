@@ -22,7 +22,7 @@ use crate::linemap::LineMap;
 use crate::pending::PendingQueue;
 use crate::stats::NodeStats;
 use crate::Cycle;
-use ds_cpu::{ExecRecord, LoadResponse, MemSystem, OooCore, RuuTag, TraceSource};
+use ds_cpu::{ExecRecord, InstFeed, LoadResponse, MemSystem, OooCore, RuuTag, TraceSource};
 use ds_mem::{
     AccessKind, Cache, CacheOutcome, MainMemory, NodeId, PageClass, PageTable, Tlb, Victim,
 };
@@ -393,6 +393,18 @@ pub struct Node {
     /// `[start, end)` cycle windows sorted by start. Empty (the common
     /// case) costs one slice-length check per cycle.
     stalls: Vec<(Cycle, Cycle)>,
+    /// The node's own clock: the first cycle it has not simulated. It
+    /// lags the system clock while the node sleeps; [`Node::catch_up`]
+    /// applies the slept-through cycles.
+    clock: Cycle,
+    /// The cycle the node next steps at: its cached
+    /// [`Node::next_event`], or the next cycle after a commit.
+    wake: Cycle,
+    /// Set when the node steps or receives input, so `wake` is stale
+    /// until [`Node::refresh_wake`] recomputes it.
+    dirty: bool,
+    /// Real [`Node::step`] calls (deterministic engine work counter).
+    steps: u64,
     /// Cumulative `CycleAccount` snapshots for the Perfetto stall
     /// counter track, taken every [`SAMPLE_INTERVAL`] cycles.
     #[cfg(feature = "obs")]
@@ -427,6 +439,10 @@ impl Node {
             core,
             ms: MemSide::new(id, pt, config),
             stalls,
+            clock: 0,
+            wake: 0,
+            dirty: false,
+            steps: 0,
             #[cfg(feature = "obs")]
             samples: Vec::with_capacity(256),
             #[cfg(feature = "obs")]
@@ -445,13 +461,11 @@ impl Node {
             .map(|&(_, end)| end)
     }
 
-    /// Advances the node one cycle. A chaos-stalled cycle suppresses
-    /// the tick entirely (the cycle is still charged by the caller).
+    /// Advances the node one cycle, after catching it up to `now`. A
+    /// chaos-stalled cycle suppresses the tick entirely (the cycle is
+    /// still charged by the caller).
     pub(crate) fn step(&mut self, trace: &mut TraceSource, now: Cycle) -> Result<(), ds_cpu::ExecError> {
-        if !self.stalls.is_empty() && self.stalled_until(now).is_some() {
-            return Ok(());
-        }
-        self.core.step(&mut self.ms, trace, now)
+        self.step_with(trace, now)
     }
 
     /// Advances the node one cycle against a shared read-only trace
@@ -461,11 +475,81 @@ impl Node {
         trace: &TraceSource,
         now: Cycle,
     ) -> Result<(), ds_cpu::ExecError> {
+        let mut feed = trace.ready_window();
+        self.step_with(&mut feed, now)
+    }
+
+    /// The step shared by both engines: catch up, tick the core unless
+    /// a chaos stall suppresses it, and mark the wake cycle.
+    #[inline]
+    fn step_with<F: InstFeed + ?Sized>(
+        &mut self,
+        feed: &mut F,
+        now: Cycle,
+    ) -> Result<(), ds_cpu::ExecError> {
+        self.catch_up(now);
+        self.clock = now + 1;
+        self.steps += 1;
         if !self.stalls.is_empty() && self.stalled_until(now).is_some() {
+            self.dirty = true;
             return Ok(());
         }
-        let mut feed = trace.ready_window();
-        self.core.step(&mut self.ms, &mut feed, now)
+        let before = self.core.committed();
+        self.core.step(&mut self.ms, feed, now)?;
+        if self.core.committed() > before {
+            // A committing core's next event is the very next cycle:
+            // skip the horizon scan, as the system loop does.
+            self.wake = now + 1;
+        } else {
+            self.dirty = true;
+        }
+        Ok(())
+    }
+
+    /// True when the node must step at `now`. Before its wake cycle a
+    /// step would only tick stall counters, which [`Node::catch_up`]
+    /// applies in one batch later.
+    #[inline]
+    pub(crate) fn is_due(&self, now: Cycle) -> bool {
+        now >= self.wake
+    }
+
+    /// The cycle the node next steps at (valid after
+    /// [`Node::refresh_wake`]).
+    #[inline]
+    pub(crate) fn wake(&self) -> Cycle {
+        self.wake
+    }
+
+    /// Recomputes the wake cycle if the node stepped or received input
+    /// since it was last computed. Called once per cycle, after every
+    /// input of cycle `now` has been delivered.
+    #[inline]
+    pub(crate) fn refresh_wake(&mut self, now: Cycle) {
+        if self.dirty {
+            self.wake = self.next_event(now);
+            self.dirty = false;
+        }
+    }
+
+    /// Applies the cycles `[clock, target)` the node slept through,
+    /// exactly as that many no-progress steps would have (see
+    /// [`Node::advance_to`]), and moves its clock to `target`. Sound
+    /// because the node's wake cycle lies beyond every one of them.
+    #[inline]
+    pub(crate) fn catch_up(&mut self, target: Cycle) {
+        if target > self.clock {
+            // Every node steps at cycle 0 (`wake` starts there), so a
+            // lagging clock is never 0.
+            debug_assert!(self.clock > 0, "node caught up before its first step");
+            self.advance_to(self.clock - 1, target);
+            self.clock = target;
+        }
+    }
+
+    /// Real [`Node::step`] calls so far.
+    pub(crate) fn steps(&self) -> u64 {
+        self.steps
     }
 
     /// Earliest future cycle at which this node's state can change: the
@@ -473,8 +557,8 @@ impl Node {
     /// bus-ready, the nearest BSHR retransmit deadline, and the nearest
     /// chaos-stall boundary (start or release — an event horizon must
     /// never skip past either edge). Conservative (never later than the
-    /// true next change), so skipping to the system-wide minimum is
-    /// always safe.
+    /// true next change), so the node may sleep until it, and the whole
+    /// system may jump to the minimum over nodes and the fabric.
     pub(crate) fn next_event(&self, now: Cycle) -> Cycle {
         let mut horizon = self.core.next_event(now);
         if let Some(ready) = self.ms.outgoing.next_ready() {
@@ -499,7 +583,7 @@ impl Node {
     /// exactly the side effects the naive loop's idle iterations over
     /// `(now, target)` would have (stall counters; nothing else — the
     /// skipped range is quiescent by construction).
-    pub(crate) fn advance_to(&mut self, now: Cycle, target: Cycle) {
+    fn advance_to(&mut self, now: Cycle, target: Cycle) {
         if self.stalls.is_empty() {
             self.core.advance_to(now, target);
             return;
@@ -550,6 +634,7 @@ impl Node {
     /// fault-free protocol, or one of the ds-chaos hardening kinds
     /// (retransmit requests, degraded-mode requests and responses).
     pub(crate) fn deliver(&mut self, msg: &Message, now: Cycle) {
+        self.dirty = true;
         let line = msg.line_addr;
         match msg.kind {
             MsgKind::Broadcast => {
@@ -653,9 +738,12 @@ impl Node {
     /// degradation to direct request–response. Called once per cycle by
     /// the system loop, and only when a timeout is configured — the
     /// fault-free hot path never enters. The drain order (lowest line
-    /// first) is deterministic.
+    /// first) is deterministic. An expiry is an input: it catches the
+    /// node up through `now` first.
     pub(crate) fn poll_faults(&mut self, now: Cycle) {
         while let Some(e) = self.ms.bshr.take_expired(now) {
+            self.catch_up(now + 1);
+            self.dirty = true;
             let PageClass::Owned(owner) = self.ms.pt.classify(e.line) else {
                 debug_assert!(false, "BSHR wait on a non-remote line");
                 continue;
@@ -792,9 +880,9 @@ impl Node {
 
     /// Charges `now` to exactly one stall bucket (top-down cycle
     /// accounting). Called once per simulated cycle by `DsSystem::run`,
-    /// after the node stepped; `bus_busy` is whether the interconnect
-    /// was occupied this cycle. Hot path: one classification, one array
-    /// increment, no allocation.
+    /// after the node stepped or was caught up; `bus_busy` is whether
+    /// the interconnect was occupied this cycle. Hot path: one
+    /// classification, one array increment, no allocation.
     #[cfg(feature = "obs")]
     pub(crate) fn charge_cycle(&mut self, now: Cycle, bus_busy: bool) {
         if now.is_multiple_of(SAMPLE_INTERVAL) {

@@ -8,7 +8,7 @@ use crate::Cycle;
 use ds_asm::Program;
 use ds_cpu::{ExecError, FuncCore, TraceSource};
 use ds_mem::{MemImage, PageTable, PageTableBuilder, Segment};
-use ds_net::{Delivery, Fabric, MsgKind};
+use ds_net::{Delivery, Fabric};
 use std::borrow::BorrowMut;
 use std::sync::Arc;
 
@@ -26,7 +26,6 @@ pub struct DsSystem {
     trace: TraceSource,
     page_table: Arc<PageTable>,
     cycles: Cycle,
-    delivered: u64,
     /// Cycles advanced by event-horizon jumps rather than naive
     /// iteration (diagnostic; not part of `RunResult`).
     skipped: u64,
@@ -82,7 +81,6 @@ impl DsSystem {
             trace,
             page_table,
             cycles: 0,
-            delivered: 0,
             skipped: 0,
             deadlock: None,
             #[cfg(feature = "audit")]
@@ -113,6 +111,14 @@ impl DsSystem {
         self.skipped
     }
 
+    /// Real node steps taken — the engine's work done. Equals
+    /// `nodes × cycles` under `config.no_skip`; a sleeping node and a
+    /// skipped cycle take none. Excluded from [`RunResult`] like
+    /// [`DsSystem::cycles_skipped`].
+    pub fn node_steps(&self) -> u64 {
+        self.nodes.iter().map(Node::steps).sum()
+    }
+
     /// Final memory image view (functional state; reflects execution up
     /// to the furthest point generated).
     pub fn mem(&self) -> &MemImage {
@@ -140,9 +146,11 @@ impl DsSystem {
         }
     }
 
-    /// The serial engine: one thread steps every node, then runs the
-    /// shared cycle tail (which skips ahead to the next event horizon
-    /// unless `config.no_skip` pins the naive reference loop).
+    /// The serial engine: one thread steps every node whose wake cycle
+    /// is due, then runs the shared cycle tail (which skips ahead to
+    /// the next event horizon). Under `config.no_skip` wake cycles are
+    /// never computed, so every node steps every cycle: the naive
+    /// reference loop.
     fn run_serial(&mut self) -> Result<RunResult, ExecError> {
         // The nodes and the trace move out of `self` for the duration
         // of the loop so the cycle tail can borrow them alongside the
@@ -157,10 +165,14 @@ impl DsSystem {
         let mut deliveries = Vec::new();
         let outcome: Result<(), ExecError> = loop {
             let now = self.cycles;
-            // 1. Every node simulates this cycle (the paper's simulator
-            //    "switches contexts after executing each cycle").
+            // 1. Every due node simulates this cycle (the paper's
+            //    simulator "switches contexts after executing each
+            //    cycle"); a sleeping node catches up when it next steps.
             let mut step_err = None;
             for node in &mut nodes {
+                if !node.is_due(now) {
+                    continue;
+                }
                 if let Err(e) = node.step(&mut trace, now) {
                     step_err = Some(e);
                     break;
@@ -224,6 +236,9 @@ impl DsSystem {
                         for i in (w..n).step_by(workers) {
                             // ds-analyze: allow(pa1) striped ownership: worker w locks exactly the cells with index i = w (mod workers); no two workers share an element, and the mutex still guards each
                             let mut node = lock_clean(&cells[i]);
+                            if !node.is_due(now) {
+                                continue;
+                            }
                             if let Err(e) = node.step_shared(&tr, now) {
                                 let mut slot = lock_clean(step_err);
                                 if slot.is_none() {
@@ -287,8 +302,10 @@ impl DsSystem {
     /// Everything after node stepping in one simulated cycle: audit
     /// absorption, lead tracking, cycle accounting, broadcast launch,
     /// interconnect stepping, delivery, trace trimming, the watchdog,
-    /// the termination check, and (unless `config.no_skip`) the jump to
-    /// the next event horizon. Generic over the node holder so the
+    /// the termination check, and (unless `config.no_skip`) the
+    /// per-node wake refresh and the jump to the next event horizon.
+    /// Every step that reads or feeds a node first catches a sleeping
+    /// node up through `now`. Generic over the node holder so the
     /// serial loop (`Vec<Node>`) and the parallel merge phase (mutex
     /// guards) share it verbatim. Returns true when the run is over.
     fn cycle_tail<N: BorrowMut<Node>>(
@@ -316,6 +333,7 @@ impl DsSystem {
             let bus_busy = !self.bus.is_idle();
             for node in nodes.iter_mut() {
                 let node: &mut Node = node.borrow_mut();
+                node.catch_up(now + 1);
                 node.charge_cycle(now, bus_busy);
             }
         }
@@ -329,15 +347,8 @@ impl DsSystem {
         // 3. The bus advances; completed messages are delivered.
         self.bus.step_into(now, deliveries);
         for delivery in deliveries.iter() {
-            if delivery.msg.kind == MsgKind::Broadcast {
-                self.delivered += 1;
-                if let Some(n) = self.config.fault_drop_every {
-                    if self.delivered.is_multiple_of(n) {
-                        continue; // injected fault: lose the broadcast
-                    }
-                }
-            }
             let dest: &mut Node = nodes[delivery.dest].borrow_mut();
+            dest.catch_up(now + 1);
             dest.deliver(&delivery.msg, now);
         }
         // 3b. BSHR hardening: expired waits escalate to retransmit
@@ -363,13 +374,18 @@ impl DsSystem {
                 .unwrap_or(0);
             trace.trim(min);
         }
-        // Termination and the deadlock watchdog, in one pass: the same
+        // Termination, the deadlock watchdog and the wake refresh, in
+        // one pass: every input of this cycle has landed, and the same
         // committed() read feeds the progress total and the done check.
         let max_insts = self.config.max_insts.unwrap_or(u64::MAX);
+        let skip = !self.config.no_skip;
         let mut total: u64 = 0;
         let mut all_done = true;
-        for n in nodes.iter() {
-            let n: &Node = n.borrow();
+        for n in nodes.iter_mut() {
+            let n: &mut Node = n.borrow_mut();
+            if skip {
+                n.refresh_wake(now);
+            }
             let c = n.committed();
             total += c;
             all_done &= n.is_done() || c >= max_insts;
@@ -378,6 +394,11 @@ impl DsSystem {
             // A stalled machine means the broadcast/BSHR pairing broke
             // and (with hardening off or exhausted) no recovery exists:
             // terminate with evidence instead of spinning or panicking.
+            // The report snapshots every node as of the aborting cycle.
+            for n in nodes.iter_mut() {
+                let n: &mut Node = n.borrow_mut();
+                n.catch_up(self.cycles);
+            }
             self.deadlock = Some(Box::new(self.build_deadlock_report(nodes, now, total)));
             return true;
         }
@@ -385,29 +406,28 @@ impl DsSystem {
         if all_done {
             return true;
         }
-        // The horizon scan is gated on quiescence: a cycle that retired
+        // The horizon jump is gated on quiescence: a cycle that retired
         // instructions never opens a skippable range (the committing
-        // core's next event is the very next cycle), so scanning after
-        // it would be pure overhead on busy phases. A stall episode
-        // that starts on a commit cycle is picked up one cycle later —
-        // at most one naive iteration per episode is "lost".
-        if !self.config.no_skip && !progressed {
+        // core wakes the very next cycle), so looking further would be
+        // pure overhead on busy phases.
+        if skip && !progressed {
             self.advance_to_horizon(nodes, trace, now, wd);
         }
         false
     }
 
     /// The event-horizon jump. Called after the cycle at `now` fully
-    /// completed (`self.cycles == now + 1`): computes the earliest
-    /// future cycle any component's state can change — core event
-    /// heaps, fetch stalls, queued broadcasts, the interconnect — and,
-    /// when that horizon is beyond the next cycle, charges the skipped
-    /// quiescent cycles to their stall buckets and advances the clock
-    /// in one step. The horizon is clamped to the watchdog deadline so
-    /// a deadlocked machine still reaches its panic iteration naively.
+    /// completed (`self.cycles == now + 1`) and every node's wake cycle
+    /// was refreshed: the horizon is the earliest of those wake cycles,
+    /// the interconnect's next event and the watchdog deadline (so a
+    /// deadlocked machine still reaches its report iteration). When it
+    /// is beyond the next cycle, the clock jumps there in one step.
+    /// Nodes are not touched: each one catches up lazily when it next
+    /// steps or is read. Instrumented builds catch every node up here
+    /// and charge the skipped quiescent cycles to their stall buckets.
     /// Behavior-invariant by construction: every skipped cycle is one
     /// the naive loop would have executed without changing any state
-    /// except these same stall counters.
+    /// except stall counters.
     fn advance_to_horizon<N: BorrowMut<Node>>(
         &mut self,
         nodes: &mut [N],
@@ -415,12 +435,15 @@ impl DsSystem {
         now: Cycle,
         wd: &ForwardProgress,
     ) {
-        let mut horizon = self.bus.next_event(now);
+        let mut horizon = wd.watchdog_deadline();
         for node in nodes.iter() {
             let node: &Node = node.borrow();
-            horizon = horizon.min(node.next_event(now));
+            horizon = horizon.min(node.wake());
         }
-        horizon = horizon.min(wd.watchdog_deadline());
+        if horizon <= now + 1 {
+            return;
+        }
+        horizon = horizon.min(self.bus.next_event(now));
         if horizon <= now + 1 {
             return;
         }
@@ -430,14 +453,9 @@ impl DsSystem {
             let bus_busy = !self.bus.is_idle();
             for node in nodes.iter_mut() {
                 let node: &mut Node = node.borrow_mut();
-                node.advance_to(now, horizon);
+                node.catch_up(horizon);
                 node.charge_skipped(now + 1, skipped, bus_busy);
             }
-        }
-        #[cfg(not(feature = "obs"))]
-        for node in nodes.iter_mut() {
-            let node: &mut Node = node.borrow_mut();
-            node.advance_to(now, horizon);
         }
         // The naive loop trims at the end of every 1024-multiple cycle.
         // Fetch cursors are frozen across the skipped range, so at most
@@ -504,13 +522,17 @@ impl DsSystem {
 
     /// Post-loop bookkeeping shared by both engines.
     fn finish_run(&mut self) -> RunResult {
+        // Sleeping nodes owe the cycles up to the run's end.
+        let end = self.cycles;
+        for node in &mut self.nodes {
+            node.catch_up(end);
+        }
         #[cfg(feature = "obs")]
         {
             self.close_lead_segment();
             // Close each node's final (partial) timeline interval at
             // the run's end cycle, so the interval deltas partition the
             // whole run.
-            let end = self.cycles;
             for node in &mut self.nodes {
                 node.close_timeline(end);
             }
@@ -530,7 +552,8 @@ impl DsSystem {
     /// the ESP send/consume ledgers balance (a node can retire its last
     /// instruction while a reparative broadcast it triggered is still
     /// queued). Runs outside the timed region — the reported cycle
-    /// count is the completion time.
+    /// count is the completion time — so it delivers without catching
+    /// nodes up: their clocks stop at the run's end.
     fn drain_interconnect(&mut self) {
         let mut t = self.cycles;
         let deadline = t + 100_000_000;
@@ -852,8 +875,7 @@ impl DsSystem {
         // traffic all perturb the per-node arrival counts by design
         // (architectural state is still asserted equal by the chaos
         // test grid).
-        if self.config.fault_drop_every.is_some()
-            || !self.config.fault_plan.is_empty()
+        if !self.config.fault_plan.is_empty()
             || self.config.bshr_timeout_cycles.is_some()
             || self.deadlock.is_some()
         {
@@ -1137,7 +1159,11 @@ mod tests {
         // the deadlock tripwire end to end.
         let prog = strided_prog();
         let mut config = DsConfig::with_nodes(2);
-        config.fault_drop_every = Some(10);
+        config.fault_plan.rules.push(ds_net::FaultRule::broadcasts(
+            ds_net::FaultKind::Drop,
+            10,
+            u64::MAX,
+        ));
         config.watchdog_cycles = 50_000;
         let mut sys = DsSystem::new(config, &prog);
         let r = sys.run().unwrap();

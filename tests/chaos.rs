@@ -20,7 +20,7 @@ use datascalar::workloads::{by_name, Scale};
 use ds_net::{FaultKind, FaultPlan, FaultRule};
 use proptest::prelude::*;
 
-/// A 2-node hardened config (BSHR timeouts armed) running `plan`.
+/// A hardened config (BSHR timeouts armed) running `plan`.
 fn hardened_config(nodes: usize, plan: FaultPlan, max_insts: Option<u64>) -> DsConfig {
     let mut c = DsConfig::with_nodes(nodes);
     c.max_insts = max_insts;
@@ -45,28 +45,35 @@ proptest! {
 
     /// Same seeded plan, same everything: repeat runs and all three
     /// engines agree on the full `RunResult`, and the watchdog never
-    /// fires under a budget-bounded plan with timeouts armed.
+    /// fires under a budget-bounded plan with timeouts armed. Runs on
+    /// a 2-node bus and a 4-node ring, where stall windows and BSHR
+    /// timeouts also land on nodes asleep past their own horizons.
     #[test]
     fn seeded_plans_are_deterministic_across_engines(seed in any::<u64>()) {
-        let plan = FaultPlan::seeded(seed, 2, 4);
-        let base = hardened_config(2, plan, Some(20_000));
+        for (nodes, fabric) in [(2, ds_net::FabricKind::Bus), (4, ds_net::FabricKind::Ring)] {
+            let plan = FaultPlan::seeded(seed, nodes, 4);
+            let mut base = hardened_config(nodes, plan, Some(20_000));
+            base.interconnect = fabric;
 
-        let mut reference = base.clone();
-        reference.no_skip = true;
-        let (naive, _) = run_compress(reference.clone());
-        let (again, _) = run_compress(reference);
-        prop_assert_eq!(&again, &naive, "repeat run diverged (seed {})", seed);
+            let mut reference = base.clone();
+            reference.no_skip = true;
+            let (naive, _) = run_compress(reference.clone());
+            let (again, _) = run_compress(reference);
+            prop_assert_eq!(&again, &naive, "repeat run diverged (seed {}, {} nodes)", seed, nodes);
 
-        let (skipped, _) = run_compress(base.clone());
-        prop_assert_eq!(&skipped, &naive, "horizon skipping diverged (seed {})", seed);
+            let (skipped, _) = run_compress(base.clone());
+            prop_assert_eq!(&skipped, &naive,
+                "horizon skipping diverged (seed {}, {} nodes)", seed, nodes);
 
-        let mut parallel = base;
-        parallel.parallel_step = true;
-        let (threaded, _) = run_compress(parallel);
-        prop_assert_eq!(&threaded, &naive, "parallel stepping diverged (seed {})", seed);
+            let mut parallel = base;
+            parallel.parallel_step = true;
+            let (threaded, _) = run_compress(parallel);
+            prop_assert_eq!(&threaded, &naive,
+                "parallel stepping diverged (seed {}, {} nodes)", seed, nodes);
 
-        prop_assert!(naive.deadlock.is_none(),
-            "bounded seeded plan must recover (seed {})", seed);
+            prop_assert!(naive.deadlock.is_none(),
+                "bounded seeded plan must recover (seed {}, {} nodes)", seed, nodes);
+        }
     }
 }
 

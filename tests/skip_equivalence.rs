@@ -10,10 +10,12 @@
 //! graph edges on either engine; window wraparound itself is pinned by
 //! `crates/obs/src/critpath.rs` unit tests).
 //!
-//! The grid covers both tiny workloads across the Figure 7 node counts,
-//! both interconnect topologies, and both accelerated engines (serial
-//! horizon skipping, parallel stepping + skipping), each compared
-//! against the retained `no_skip` reference path. A second pass narrows
+//! The grid covers three tiny workloads (li's pointer chases leave
+//! non-owner nodes asleep on BSHR waits the longest) across the Figure 7
+//! node counts plus 8 nodes, both interconnect topologies, and both
+//! accelerated engines (serial per-node horizons, parallel stepping +
+//! skipping), each compared against the retained `no_skip` reference
+//! path. A second pass narrows
 //! the machine (tiny RUU/LSQ, a real D-TLB) so the window-full and
 //! translation stall classes appear in the skipped ranges too.
 
@@ -52,8 +54,8 @@ fn assert_engines_agree(base: DsConfig, workload: &str, budget: Budget, label: &
 #[test]
 fn engines_agree_across_the_figure7_grid() {
     let budget = Budget::quick();
-    for workload in ["compress", "go"] {
-        for nodes in [1usize, 2, 4] {
+    for workload in ["compress", "go", "li"] {
+        for nodes in [1usize, 2, 4, 8] {
             for fabric in [ds_net::FabricKind::Bus, ds_net::FabricKind::Ring] {
                 let mut config = DsConfig::with_nodes(nodes);
                 config.max_insts = Some(budget.max_insts);
@@ -113,4 +115,34 @@ fn skipping_actually_skips() {
     let mut reference = DsSystem::new(config, &prog);
     reference.run().expect("workload executes");
     assert_eq!(reference.cycles_skipped(), 0, "the reference path must never skip");
+
+    // Per-node horizons: on li's 4-node ring the non-owners sleep on
+    // BSHR waits while the owner runs ahead, so the engine must step
+    // fewer nodes than every node on every cycle it did not skip. The
+    // reference path steps every node on every cycle.
+    let w = by_name("li").expect("known workload");
+    let prog = (w.build)(budget.scale);
+    let nodes = 4u64;
+    let mut config = DsConfig::with_nodes(nodes as usize);
+    config.max_insts = Some(budget.max_insts);
+    config.interconnect = ds_net::FabricKind::Ring;
+
+    let mut sys = DsSystem::new(config.clone(), &prog);
+    let r = sys.run().expect("workload executes");
+    let stepped_cycles = r.cycles - sys.cycles_skipped();
+    assert!(
+        sys.node_steps() < nodes * stepped_cycles,
+        "expected sleeping nodes to skip steps: {} node steps over {} stepped cycles",
+        sys.node_steps(),
+        stepped_cycles
+    );
+
+    config.no_skip = true;
+    let mut reference = DsSystem::new(config, &prog);
+    let naive = reference.run().expect("workload executes");
+    assert_eq!(
+        reference.node_steps(),
+        nodes * naive.cycles,
+        "the reference path must step every node on every cycle"
+    );
 }
